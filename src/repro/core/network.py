@@ -31,8 +31,10 @@ from repro.isl.topology import (
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.kepler import KeplerPropagator, batch_positions
 from repro.orbits.visibility import elevation_angles
-from repro.phy.modulation import achievable_rate_bps, achievable_rate_bps_array
-from repro.phy.rf import RFTerminal, rf_link_budget, rf_link_budget_arrays
+from repro.phy.modulation import achievable_rate_bps_array
+from repro.phy.rf import RFTerminal, rf_link_budget_arrays
+# Re-exported: the scalar budget the array access-link pricing reproduces.
+from repro.phy.rf import rf_link_budget as rf_link_budget
 from repro.routing.csr import (
     BACKEND_CSR,
     HAVE_SCIPY,
@@ -48,6 +50,39 @@ from repro.routing.metrics import (
     path_metrics,
     shortest_path,
 )
+
+
+#: Users x satellites evaluated per pass of the access-link pricing; bounds
+#: the temporary ``(users, satellites, 3)`` geometry arrays to a few MiB.
+_ACCESS_CHUNK = 1 << 16
+
+
+def _link_capacities(tx_terminals: Sequence[RFTerminal], tx_class: np.ndarray,
+                     rx_terminals: Sequence[RFTerminal], rx_class: np.ndarray,
+                     distances_km: np.ndarray, elevations_rad: np.ndarray,
+                     rain_rate_mm_h: float = 0.0) -> np.ndarray:
+    """MODCOD capacity of many RF links, one array pass per terminal pair.
+
+    Link ``k`` runs from ``tx_terminals[tx_class[k]]`` to
+    ``rx_terminals[rx_class[k]]``; a negative ``tx_class`` marks a
+    satellite without a ground terminal, whose capacity is 0.  Bitwise
+    equal per link to ``rf_link_budget`` + ``achievable_rate_bps``.
+    """
+    capacity = np.zeros(distances_km.shape)
+    group = tx_class * len(rx_terminals) + rx_class
+    for key in np.unique(group[tx_class >= 0]).tolist():
+        rows = np.nonzero(group == key)[0]
+        budgets = rf_link_budget_arrays(
+            tx_terminals[key // len(rx_terminals)],
+            rx_terminals[key % len(rx_terminals)],
+            distances_km[rows],
+            elevations_rad=elevations_rad[rows],
+            rain_rate_mm_h=rain_rate_mm_h,
+        )
+        capacity[rows] = achievable_rate_bps_array(
+            budgets.snr_db, budgets.bandwidth_hz
+        )
+    return capacity
 
 
 @dataclass(frozen=True)
@@ -293,6 +328,17 @@ class OpenSpaceNetwork:
         self._station_by_id = {
             station.station_id: station for station in self.ground_stations
         }
+        # Equal ground terminals price identically, so access and
+        # station links price once per terminal class, not per satellite.
+        classes: Dict[RFTerminal, int] = {}
+        self._ground_class: Dict[str, int] = {}
+        for spec in self.satellites:
+            terminal = spec.ground_terminal
+            self._ground_class[spec.satellite_id] = (
+                -1 if terminal is None
+                else classes.setdefault(terminal, len(classes))
+            )
+        self._ground_terminals: List[RFTerminal] = list(classes)
         self._failed_satellites: frozenset = frozenset()
         self._failed_stations: frozenset = frozenset()
         self._failed_links: frozenset = frozenset()
@@ -507,29 +553,37 @@ class OpenSpaceNetwork:
             for index, (sat_id, _) in enumerate(self._propagator_order)
         }
 
-    def _ground_edge(self, spec: SpacecraftSpec, sat_pos: np.ndarray,
-                     station: GroundStation, station_pos: np.ndarray,
-                     elevation: float,
-                     distance: float) -> Optional[dict]:
-        """Edge attributes for a satellite-station link, or None if unusable."""
-        capacity = 0.0
-        if spec.ground_terminal is not None:
-            station_terminal = RFTerminal(
-                band_name=spec.ground_terminal.band_name,
+    def _station_terminals(self) -> List[RFTerminal]:
+        """The gateway terminal matched to each ground-terminal class's band."""
+        return [
+            RFTerminal(
+                band_name=terminal.band_name,
                 tx_power_w=50.0,
                 dish_diameter_m=self.gateway_dish_m,
                 noise_temp_k=180.0,
                 mass_kg=400.0,
                 unit_cost_usd=500_000.0,
             )
-            budget = rf_link_budget(
-                spec.ground_terminal, station_terminal, distance,
-                elevation_rad=elevation,
-                rain_rate_mm_h=station.rain_rate_mm_h,
-            )
-            capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
-        if capacity <= 0.0:
-            return None
+            for terminal in self._ground_terminals
+        ]
+
+    def _station_capacities(self, station: GroundStation,
+                            sat_ids: Sequence[str],
+                            distances: np.ndarray,
+                            elevations: np.ndarray) -> np.ndarray:
+        """Ground-link capacity from each satellite to one station."""
+        sat_class = np.array([self._ground_class[sat_id] for sat_id in sat_ids],
+                             dtype=np.int64)
+        return _link_capacities(
+            self._ground_terminals, sat_class, self._station_terminals(),
+            sat_class, distances, elevations,
+            rain_rate_mm_h=station.rain_rate_mm_h,
+        )
+
+    @staticmethod
+    def _ground_attrs(station: GroundStation, distance: float,
+                      capacity: float) -> dict:
+        """Edge attributes of a ground link that closes at ``capacity``."""
         return {
             "delay_s": distance / SPEED_OF_LIGHT_KM_S,
             "capacity_bps": min(capacity, station.backhaul_capacity_bps),
@@ -569,14 +623,19 @@ class OpenSpaceNetwork:
         if not users:
             self._cache_put(key, base)
             return base
+        users = list(users)
         graph = base.graph.copy()
-        positions = base.isl_snapshot.positions
-        alive = [
-            spec for spec in self.satellites
-            if spec.satellite_id not in self._failed_satellites
-        ]
-        for user in users:
-            self._add_user_edges(graph, user, alive, positions, time_s)
+        graph.add_nodes_from(
+            (user.user_id, {"kind": "user", "owner": user.home_provider})
+            for user in users
+        )
+        alive = self._alive_satellites()
+        graph.add_edges_from(
+            (users[row].user_id, alive[index].satellite_id,
+             self._access_attrs(alive[index], distance, capacity))
+            for row, index, distance, capacity in self._user_access_links(
+                users, alive, base.isl_snapshot.positions, time_s)
+        )
         snap = NetworkSnapshot(time_s=time_s, graph=graph,
                                isl_snapshot=base.isl_snapshot)
         self._cache_put(key, snap)
@@ -637,25 +696,27 @@ class OpenSpaceNetwork:
             )
             if not alive:
                 continue
-            # One vectorized elevation pass per station; link budgets run
-            # only for the satellites above the mask.
+            # One vectorized elevation pass per station; the satellites
+            # above the mask price in one array pass per terminal class.
             elevations = elevation_angles(station_pos, alive_matrix)
             mask_rad = math.radians(max(
                 self.ground_elevation_mask_deg, station.min_elevation_deg
             ))
-            deltas = alive_matrix - station_pos
+            visible = np.nonzero(elevations >= mask_rad)[0]
+            deltas = alive_matrix[visible] - station_pos
             distances = np.sqrt((deltas * deltas).sum(axis=-1))
-            for index in np.nonzero(elevations >= mask_rad)[0]:
-                spec = alive[int(index)]
-                attrs = self._ground_edge(
-                    spec, positions[spec.satellite_id], station, station_pos,
-                    elevation=float(elevations[index]),
-                    distance=float(distances[index]),
-                )
-                if attrs is not None:
-                    graph.add_edge(spec.satellite_id, station.station_id,
-                                   **attrs)
-                    pairs.add((spec.satellite_id, station.station_id))
+            capacities = self._station_capacities(
+                station, [alive[index].satellite_id for index in visible],
+                distances, elevations[visible],
+            )
+            closes = capacities > 0.0
+            for index, distance, capacity in zip(
+                    visible[closes].tolist(), distances[closes].tolist(),
+                    capacities[closes].tolist()):
+                sat_id = alive[index].satellite_id
+                graph.add_edge(sat_id, station.station_id,
+                               **self._ground_attrs(station, distance, capacity))
+                pairs.add((sat_id, station.station_id))
         return frozenset(pairs)
 
     def _full_base_snapshot(self, time_s: float) -> NetworkSnapshot:
@@ -767,43 +828,71 @@ class OpenSpaceNetwork:
             recorder.count("network.snapshot.delta_build")
         return snap
 
-    def _add_user_edges(self, graph: nx.Graph, user: UserTerminal,
-                        alive: Sequence[SpacecraftSpec],
-                        positions: Dict[str, np.ndarray],
-                        time_s: float) -> None:
-        """Attach one user node and its access links to ``graph``."""
-        user_pos = user.position_eci(time_s)
-        graph.add_node(user.user_id, kind="user", owner=user.home_provider)
-        if not alive:
-            return
-        mask_rad = math.radians(user.min_elevation_deg)
-        alive_matrix = np.stack(
-            [positions[spec.satellite_id] for spec in alive]
+    def _user_access_links(self, users: Sequence[UserTerminal],
+                           alive: Sequence[SpacecraftSpec],
+                           positions: Dict[str, np.ndarray],
+                           time_s: float):
+        """Every user access link that closes, priced in arrays.
+
+        Stacks users x alive satellites (in chunks of ``_ACCESS_CHUNK``
+        pairs), keeps the pairs above each user's elevation mask, and
+        prices each (satellite terminal, user terminal) group in one
+        array pass.
+
+        Returns:
+            ``(user row, alive index, distance_km, capacity_bps)`` per
+            closing link, ordered by user, then satellite — the order
+            a per-user scan of the fleet visits them.
+        """
+        if not users or not alive:
+            return []
+        alive_matrix = np.stack([positions[spec.satellite_id] for spec in alive])
+        sat_class = np.array(
+            [self._ground_class[spec.satellite_id] for spec in alive],
+            dtype=np.int64,
         )
-        elevations = elevation_angles(user_pos, alive_matrix)
-        deltas = alive_matrix - user_pos
-        distances = np.sqrt((deltas * deltas).sum(axis=-1))
-        for index in np.nonzero(elevations >= mask_rad)[0]:
-            spec = alive[int(index)]
-            distance = float(distances[index])
-            capacity = 0.0
-            if spec.ground_terminal is not None:
-                budget = rf_link_budget(
-                    spec.ground_terminal, user.terminal, distance,
-                    elevation_rad=float(elevations[index]),
-                )
-                capacity = achievable_rate_bps(
-                    budget.snr_db, budget.bandwidth_hz
-                )
-            if capacity <= 0.0:
-                continue
-            graph.add_edge(
-                user.user_id, spec.satellite_id,
-                delay_s=distance / SPEED_OF_LIGHT_KM_S,
-                capacity_bps=capacity,
-                owner=spec.owner,
-                kind="access_link",
+        user_pos = np.stack([user.position_eci(time_s) for user in users])
+        mask_rad = np.array([math.radians(user.min_elevation_deg)
+                             for user in users])
+        receivers: Dict[RFTerminal, int] = {}
+        user_class = np.array(
+            [receivers.setdefault(user.terminal, len(receivers))
+             for user in users],
+            dtype=np.int64,
+        )
+        links = []
+        per_pass = max(1, _ACCESS_CHUNK // len(alive))
+        for start in range(0, len(users), per_pass):
+            stop = min(start + per_pass, len(users))
+            elevations = elevation_angles(user_pos[start:stop, None, :],
+                                          alive_matrix[None, :, :])
+            rows, cols = np.nonzero(
+                (elevations >= mask_rad[start:stop, None])
+                & (sat_class >= 0)[None, :]
             )
+            rows += start
+            deltas = alive_matrix[cols] - user_pos[rows]
+            distances = np.sqrt((deltas * deltas).sum(axis=-1))
+            capacities = _link_capacities(
+                self._ground_terminals, sat_class[cols], list(receivers),
+                user_class[rows], distances, elevations[rows - start, cols],
+            )
+            closes = capacities > 0.0
+            links.extend(zip(rows[closes].tolist(), cols[closes].tolist(),
+                             distances[closes].tolist(),
+                             capacities[closes].tolist()))
+        return links
+
+    @staticmethod
+    def _access_attrs(spec: SpacecraftSpec, distance: float,
+                      capacity: float) -> dict:
+        """Edge attributes of a user access link."""
+        return {
+            "delay_s": distance / SPEED_OF_LIGHT_KM_S,
+            "capacity_bps": capacity,
+            "owner": spec.owner,
+            "kind": "access_link",
+        }
 
     def refresh_edge_weights(self, snap: NetworkSnapshot,
                              users: Sequence[UserTerminal] = ()) -> int:
@@ -826,47 +915,60 @@ class OpenSpaceNetwork:
         """
         positions = snap.isl_snapshot.positions
         users_by_id = {user.user_id: user for user in users}
-        refreshed = 0
+        # Edges to refresh, grouped by their ground-side endpoint so each
+        # station and each user prices its links in one array pass.
+        ground: Dict[str, List[Tuple[str, dict]]] = {}
+        access: Dict[str, List[Tuple[str, dict]]] = {}
         for node_a, node_b, data in snap.graph.edges(data=True):
             kind = data.get("kind")
             if kind == "ground_link":
                 sat_id, station_id = (
                     (node_a, node_b) if node_a in positions else (node_b, node_a)
                 )
-                station = self._station_by_id.get(station_id)
-                spec = self._spec_by_id.get(sat_id)
-                if station is None or spec is None:
-                    continue
-                station_pos = station.position_eci(snap.time_s)
-                sat_pos = positions[sat_id]
-                elevation = float(elevation_angles(station_pos, sat_pos[None, :])[0])
-                delta = sat_pos - station_pos
-                attrs = self._ground_edge(
-                    spec, sat_pos, station, station_pos,
-                    elevation=elevation,
-                    distance=float(np.sqrt((delta * delta).sum())),
-                )
-                if attrs is not None:
-                    data.update(attrs)
-                    refreshed += 1
+                if station_id in self._station_by_id and sat_id in self._spec_by_id:
+                    ground.setdefault(station_id, []).append((sat_id, data))
             elif kind == "access_link" and users_by_id:
                 user_id, sat_id = (
                     (node_a, node_b) if node_b in positions else (node_b, node_a)
                 )
-                user = users_by_id.get(user_id)
-                spec = self._spec_by_id.get(sat_id)
-                if user is None or spec is None or spec.ground_terminal is None:
-                    continue
-                user_pos = user.position_eci(snap.time_s)
-                delta = positions[sat_id] - user_pos
-                distance = float(np.sqrt((delta * delta).sum()))
-                budget = rf_link_budget(
-                    spec.ground_terminal, user.terminal, distance,
-                    elevation_rad=float(
-                        elevation_angles(user_pos, positions[sat_id][None, :])[0]
-                    ),
-                )
-                capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
+                if user_id in users_by_id and sat_id in self._spec_by_id:
+                    access.setdefault(user_id, []).append((sat_id, data))
+
+        def geometry(ground_pos, links):
+            sat_matrix = np.stack([positions[sat_id] for sat_id, _ in links])
+            deltas = sat_matrix - ground_pos
+            return (np.sqrt((deltas * deltas).sum(axis=-1)),
+                    elevation_angles(ground_pos, sat_matrix))
+
+        refreshed = 0
+        for station_id, links in ground.items():
+            station = self._station_by_id[station_id]
+            distances, elevations = geometry(
+                station.position_eci(snap.time_s), links
+            )
+            capacities = self._station_capacities(
+                station, [sat_id for sat_id, _ in links], distances, elevations
+            )
+            for (_, data), distance, capacity in zip(
+                    links, distances.tolist(), capacities.tolist()):
+                if capacity > 0.0:
+                    data.update(self._ground_attrs(station, distance, capacity))
+                    refreshed += 1
+        for user_id, links in access.items():
+            user = users_by_id[user_id]
+            distances, elevations = geometry(
+                user.position_eci(snap.time_s), links
+            )
+            sat_class = np.array(
+                [self._ground_class[sat_id] for sat_id, _ in links],
+                dtype=np.int64,
+            )
+            capacities = _link_capacities(
+                self._ground_terminals, sat_class, [user.terminal],
+                np.zeros_like(sat_class), distances, elevations,
+            )
+            for (_, data), distance, capacity in zip(
+                    links, distances.tolist(), capacities.tolist()):
                 if capacity > 0.0:
                     data["delay_s"] = distance / SPEED_OF_LIGHT_KM_S
                     data["capacity_bps"] = capacity
@@ -886,10 +988,9 @@ class OpenSpaceNetwork:
         The array fast path behind ``--engine batched``: instead of one
         user-specific snapshot (graph copy, per-edge Python link
         budgets, CSR rebuild, single-source Dijkstra) per user, the base
-        snapshot's CSR adjacency is compiled once, each user's access
-        links are evaluated as stacked edge arrays
-        (:func:`~repro.phy.rf.rf_link_budget_arrays` +
-        :func:`~repro.phy.modulation.achievable_rate_bps_array`),
+        snapshot's CSR adjacency is compiled once, every user's access
+        links are priced as stacked users x satellites arrays (the
+        helper :meth:`snapshot` uses for user links), each user is
         appended as a leaf via
         :meth:`~repro.routing.csr.CsrAdjacency.append_leaf_arrays`, and
         every user's search runs in one block-diagonal Dijkstra.
@@ -931,64 +1032,23 @@ class OpenSpaceNetwork:
         adjacency = base.csr_adjacency(model)
         stations = base.nodes_of_kind("ground_station")
         alive = self._alive_satellites()
-        positions = base.isl_snapshot.positions
-        alive_matrix = (
-            np.stack([positions[spec.satellite_id] for spec in alive])
-            if alive else np.empty((0, 3))
+        links = self._user_access_links(
+            users, alive, base.isl_snapshot.positions, time_s
         )
         blocks = []
-        access_attrs: List[Dict[str, dict]] = []
-        for user in users:
-            attrs_by_sat: Dict[str, dict] = {}
-            neighbor_idx: List[int] = []
-            weights: List[float] = []
-            if alive:
-                user_pos = user.position_eci(time_s)
-                mask_rad = math.radians(user.min_elevation_deg)
-                elevations = elevation_angles(user_pos, alive_matrix)
-                deltas = alive_matrix - user_pos
-                distances = np.sqrt((deltas * deltas).sum(axis=-1))
-                # Group the visible satellites by ground terminal so each
-                # distinct hardware profile gets one batched budget pass.
-                groups: Dict[RFTerminal, List[int]] = {}
-                for index in np.nonzero(elevations >= mask_rad)[0]:
-                    spec = alive[int(index)]
-                    if spec.ground_terminal is None:
-                        continue
-                    groups.setdefault(spec.ground_terminal, []).append(
-                        int(index)
-                    )
-                for terminal, indices in groups.items():
-                    rows = np.asarray(indices, dtype=np.int64)
-                    budgets = rf_link_budget_arrays(
-                        terminal, user.terminal, distances[rows],
-                        elevations_rad=elevations[rows],
-                    )
-                    capacities = achievable_rate_bps_array(
-                        budgets.snr_db, budgets.bandwidth_hz
-                    )
-                    for position, index in enumerate(indices):
-                        capacity = float(capacities[position])
-                        if capacity <= 0.0:
-                            continue
-                        spec = alive[index]
-                        attrs = {
-                            "delay_s": (
-                                float(distances[index]) / SPEED_OF_LIGHT_KM_S
-                            ),
-                            "capacity_bps": capacity,
-                            "owner": spec.owner,
-                            "kind": "access_link",
-                        }
-                        attrs_by_sat[spec.satellite_id] = attrs
-                        neighbor_idx.append(
-                            adjacency.index[spec.satellite_id]
-                        )
-                        weights.append(model.edge_cost(attrs))
-            access_attrs.append(attrs_by_sat)
+        access_attrs: List[Dict[str, dict]] = [{} for _ in users]
+        neighbor_idx: List[List[int]] = [[] for _ in users]
+        weights: List[List[float]] = [[] for _ in users]
+        for row, index, distance, capacity in links:
+            spec = alive[index]
+            attrs = self._access_attrs(spec, distance, capacity)
+            access_attrs[row][spec.satellite_id] = attrs
+            neighbor_idx[row].append(adjacency.index[spec.satellite_id])
+            weights[row].append(model.edge_cost(attrs))
+        for row in range(len(users)):
             blocks.append(adjacency.append_leaf_arrays(
-                np.asarray(neighbor_idx, dtype=np.int64),
-                np.asarray(weights, dtype=np.float64),
+                np.asarray(neighbor_idx[row], dtype=np.int64),
+                np.asarray(weights[row], dtype=np.float64),
             ))
         leaf = adjacency.node_count
         dist, pred, offsets = block_diagonal_dijkstra(

@@ -26,8 +26,20 @@ The grid therefore only needs to scan cells within that central angle:
   identity ``sin^2(dlon/2) <= sin^2(theta/2) / (cos lat1 * cos lat2)``,
   bounded with each band's smallest cosine — bands touching a pole get
   an unbounded reach and scan every longitude column (the polar case);
-* longitude columns wrap modulo the column count, so neighborhoods
-  cross the antimeridian without special-casing.
+* longitude columns split the full circle evenly (a cell size that does
+  not divide 360 degrees gets slightly narrower columns) and wrap modulo
+  the column count, so neighborhoods cross the antimeridian without
+  special-casing.
+
+Layout
+------
+
+Points are sorted by cell key (``band * columns + column``); each
+occupied cell is a contiguous run of that order, addressed by a start
+offset and a count.  A query enumerates the cells it must scan as
+arrays — band offsets times each band pair's column reach — and expands
+the occupied ones into point indices with one ragged repeat, so no
+Python loop runs per cell.
 
 Determinism
 -----------
@@ -41,7 +53,7 @@ the all-pairs path and pruning changes nothing but wall clock.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -68,6 +80,13 @@ def max_central_angle_rad(max_range_km: float, min_radius_km: float) -> float:
     return 2.0 * math.asin(max(0.0, sin_half))
 
 
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without the loop."""
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+
+
 class SpatialGridIndex:
     """A latitude/longitude grid over one epoch's satellite positions.
 
@@ -75,9 +94,9 @@ class SpatialGridIndex:
         positions_km: ``(N, 3)`` ECEF/ECI position vectors.  Every row
             must have positive norm (a spacecraft is never at the
             geocenter).
-        cell_size_deg: Angular cell size; one value for latitude bands
-            and longitude columns.  Smaller cells prune harder but cost
-            more bucket scans per query.
+        cell_size_deg: Angular cell size: the latitude band height, and
+            the upper bound on the longitude column width.  Smaller
+            cells prune harder but scan more cells per query.
     """
 
     def __init__(self, positions_km: np.ndarray, cell_size_deg: float = 8.0):
@@ -100,6 +119,10 @@ class SpatialGridIndex:
 
         self.n_lat_bands = int(math.ceil(180.0 / self.cell_size_deg))
         self.n_lon_cols = int(math.ceil(360.0 / self.cell_size_deg))
+        # Equal-width columns: a narrow last column would make a column
+        # count across the antimeridian span less longitude than the
+        # reach assumes, and the scan would miss pairs.
+        self.col_width_deg = 360.0 / self.n_lon_cols
 
         lat_deg = np.degrees(np.arcsin(np.clip(pos[:, 2] / np.where(
             radius > 0.0, radius, 1.0), -1.0, 1.0)))
@@ -112,20 +135,23 @@ class SpatialGridIndex:
             0, self.n_lat_bands - 1,
         )
         self._col = (
-            np.floor((lon_deg + 180.0) / self.cell_size_deg).astype(np.int64)
+            np.floor((lon_deg + 180.0) / self.col_width_deg).astype(np.int64)
             % self.n_lon_cols
         )
 
+        # Stable sort keeps each cell's run in ascending point index.
         keys = self._band * self.n_lon_cols + self._col
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        self._cells: Dict[int, np.ndarray] = {}
-        if self.count:
-            uniq, starts = np.unique(sorted_keys, return_index=True)
-            bounds = np.append(starts, self.count)
-            for k, key in enumerate(uniq):
-                # Stable sort keeps each bucket in ascending point index.
-                self._cells[int(key)] = order[bounds[k]:bounds[k + 1]]
+        self._order = np.argsort(keys, kind="stable")
+        cell_keys, starts, counts = np.unique(
+            keys[self._order], return_index=True, return_counts=True
+        )
+        self._cell_keys = cell_keys.astype(np.int64)
+        self._cell_start = starts.astype(np.int64)
+        self._cell_count = counts.astype(np.int64)
+        # Dense cell key -> occupied-cell slot, -1 for an empty cell.
+        self._slot = np.full(self.n_lat_bands * self.n_lon_cols, -1,
+                             dtype=np.int64)
+        self._slot[self._cell_keys] = np.arange(self._cell_keys.size)
 
         # Smallest |cos(latitude)| over each band, for longitude reach.
         edges = -90.0 + self.cell_size_deg * np.arange(self.n_lat_bands + 1)
@@ -141,7 +167,7 @@ class SpatialGridIndex:
 
     @property
     def occupied_cell_count(self) -> int:
-        return len(self._cells)
+        return int(self._cell_keys.size)
 
     def _reaches(self, theta_rad: float):
         """Band reach plus per-band-pair longitude reach parameters."""
@@ -161,7 +187,27 @@ class SpatialGridIndex:
         if denom <= _POLAR_COS_EPS or sin_half_sq >= denom:
             return self.n_lon_cols
         dlon_deg = math.degrees(2.0 * math.asin(math.sqrt(sin_half_sq / denom)))
-        return int(dlon_deg // self.cell_size_deg) + 1
+        return int(dlon_deg // self.col_width_deg) + 1
+
+    def _column_windows(self, col: np.ndarray, reach: np.ndarray):
+        """Columns each window scans, expanded: ``(window id, column)``.
+
+        A window centred on ``col[k]`` spans ``-reach[k] .. +reach[k]``
+        columns modulo the column count, or every column once the span
+        would wrap onto itself.
+        """
+        full = 2 * reach + 1 >= self.n_lon_cols
+        width = np.where(full, self.n_lon_cols, 2 * reach + 1)
+        first = np.where(full, 0, col - reach)
+        window = np.repeat(np.arange(col.size, dtype=np.int64), width)
+        columns = (first[window] + _ragged_arange(width)) % self.n_lon_cols
+        return window, columns
+
+    def _members(self, slots: np.ndarray) -> np.ndarray:
+        """Point indices of the given occupied cells, run after run."""
+        counts = self._cell_count[slots]
+        offsets = np.repeat(self._cell_start[slots], counts)
+        return self._order[offsets + _ragged_arange(counts)]
 
     # -- queries --------------------------------------------------------
 
@@ -184,49 +230,61 @@ class SpatialGridIndex:
             return rows.astype(np.int64), cols.astype(np.int64)
         band_reach, sin_half_sq = self._reaches(theta)
 
-        lo_parts = []
-        hi_parts = []
-        for key_a in self._cells:
-            band_a, col_a = divmod(key_a, self.n_lon_cols)
-            members_a = self._cells[key_a]
-            band_stop = min(band_a + band_reach, self.n_lat_bands - 1)
-            for band_b in range(band_a, band_stop + 1):
-                reach = self._col_reach(
-                    sin_half_sq,
-                    float(self._band_min_cos[band_a]),
-                    float(self._band_min_cos[band_b]),
-                )
-                if 2 * reach + 1 >= self.n_lon_cols:
-                    cols_b = range(self.n_lon_cols)
-                else:
-                    cols_b = (
-                        (col_a + d) % self.n_lon_cols
-                        for d in range(-reach, reach + 1)
-                    )
-                for col_b in cols_b:
-                    key_b = band_b * self.n_lon_cols + col_b
-                    if key_b < key_a:
-                        # The symmetric scan from the other cell emits
-                        # this pair of cells exactly once.
-                        continue
-                    members_b = self._cells.get(key_b)
-                    if members_b is None:
-                        continue
-                    if key_b == key_a:
-                        tri_r, tri_c = np.triu_indices(len(members_a), k=1)
-                        lo_parts.append(members_a[tri_r])
-                        hi_parts.append(members_a[tri_c])
-                    else:
-                        ii = np.repeat(members_a, len(members_b))
-                        jj = np.tile(members_b, len(members_a))
-                        lo_parts.append(np.minimum(ii, jj))
-                        hi_parts.append(np.maximum(ii, jj))
-        if not lo_parts:
+        # Column reach of every (band, band + step) pair, step 0..reach.
+        n_bands = self.n_lat_bands
+        min_cos = self._band_min_cos.tolist()
+        steps = band_reach + 1
+        reach_table = np.array([
+            [self._col_reach(sin_half_sq, min_cos[band],
+                             min_cos[min(band + step, n_bands - 1)])
+             for step in range(steps)]
+            for band in range(n_bands)
+        ], dtype=np.int64)
+
+        # Each occupied cell A scans bands band_a .. band_a + reach and,
+        # in each, a column window around col_a; a scanned cell B forms
+        # the cell pair (A, B) when it is occupied and key_b >= key_a
+        # (the scan from the lower key emits each cell pair once).
+        cells = np.arange(self._cell_keys.size, dtype=np.int64)
+        band_a = self._cell_keys // self.n_lon_cols
+        col_a = self._cell_keys % self.n_lon_cols
+        scan_cell = np.repeat(cells, steps)
+        scan_step = np.tile(np.arange(steps, dtype=np.int64), cells.size)
+        scan_band = band_a[scan_cell] + scan_step
+        inside = scan_band < n_bands
+        scan_cell = scan_cell[inside]
+        scan_band = scan_band[inside]
+        reach = reach_table[band_a[scan_cell], scan_step[inside]]
+        window, col_b = self._column_windows(col_a[scan_cell], reach)
+        cell_a = scan_cell[window]
+        key_b = scan_band[window] * self.n_lon_cols + col_b
+        cell_b = self._slot[key_b]
+        keep = (cell_b >= 0) & (key_b >= self._cell_keys[cell_a])
+        cell_a = cell_a[keep]
+        cell_b = cell_b[keep]
+
+        # Expand each cell pair into its point pairs with one ragged
+        # repeat; within one cell only the upper triangle is kept.
+        count_a = self._cell_count[cell_a]
+        count_b = self._cell_count[cell_b]
+        sizes = count_a * count_b
+        pair = np.repeat(np.arange(cell_a.size, dtype=np.int64), sizes)
+        local = _ragged_arange(sizes)
+        local_a = local // count_b[pair]
+        local_b = local - local_a * count_b[pair]
+        same = cell_a[pair] == cell_b[pair]
+        keep = ~same | (local_a < local_b)
+        pair = pair[keep]
+        point_a = self._order[self._cell_start[cell_a[pair]] + local_a[keep]]
+        point_b = self._order[self._cell_start[cell_b[pair]] + local_b[keep]]
+        if point_a.size == 0:
             return empty, empty
-        lo = np.concatenate(lo_parts)
-        hi = np.concatenate(hi_parts)
-        order = np.argsort(lo * np.int64(self.count) + hi, kind="stable")
-        return lo[order], hi[order]
+        # Every point pair appears once, so sorting the flat pair key
+        # yields the lexicographic (row, col) order.
+        flat = np.sort(np.minimum(point_a, point_b) * np.int64(self.count)
+                       + np.maximum(point_a, point_b))
+        rows = flat // self.count
+        return rows, flat - rows * self.count
 
     def query_radius(self, position_km: np.ndarray,
                      max_range_km: float) -> np.ndarray:
@@ -254,27 +312,18 @@ class SpatialGridIndex:
             self.n_lat_bands - 1,
             max(0, int((lat_q + 90.0) // self.cell_size_deg)),
         )
-        col_q = int((lon_q + 180.0) // self.cell_size_deg) % self.n_lon_cols
+        col_q = int((lon_q + 180.0) // self.col_width_deg) % self.n_lon_cols
         cos_q = math.cos(math.radians(lat_q))
 
-        parts = []
-        band_lo = max(0, band_q - band_reach)
-        band_hi = min(self.n_lat_bands - 1, band_q + band_reach)
-        for band in range(band_lo, band_hi + 1):
-            reach = self._col_reach(
-                sin_half_sq, cos_q, float(self._band_min_cos[band])
-            )
-            if 2 * reach + 1 >= self.n_lon_cols:
-                cols = range(self.n_lon_cols)
-            else:
-                cols = (
-                    (col_q + d) % self.n_lon_cols
-                    for d in range(-reach, reach + 1)
-                )
-            for col in cols:
-                members = self._cells.get(band * self.n_lon_cols + col)
-                if members is not None:
-                    parts.append(members)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+        bands = np.arange(max(0, band_q - band_reach),
+                          min(self.n_lat_bands - 1, band_q + band_reach) + 1,
+                          dtype=np.int64)
+        reach = np.array([
+            self._col_reach(sin_half_sq, cos_q, float(self._band_min_cos[band]))
+            for band in bands.tolist()
+        ], dtype=np.int64)
+        window, cols = self._column_windows(
+            np.full(bands.size, col_q, dtype=np.int64), reach
+        )
+        slots = self._slot[bands[window] * self.n_lon_cols + cols]
+        return np.sort(self._members(slots[slots >= 0]))

@@ -35,6 +35,7 @@ from repro.demand.congestion import (
 from repro.demand.fluid import run_fluid, weighted_percentile
 from repro.demand.grid import GridSpec, population_grid
 from repro.demand.profile import offered_load_bps
+from repro.experiments.scale import nearest_divisor
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import derive_seed, run_grid
@@ -47,8 +48,14 @@ FLEET_OWNER = "demand-fleet"
 
 
 def plane_count_for(satellites: int) -> int:
-    """Deterministic Walker plane count: near-square lattice, >= 3."""
-    return max(3, int(round(math.sqrt(satellites / 2.0))))
+    """Deterministic Walker plane count: near-square lattice, >= 3.
+
+    The rounded ``sqrt(N/2)`` heuristic (at least 3), snapped to the
+    nearest divisor of ``N`` that is at least 3, so every fleet of 3 or
+    more satellites forms a valid Walker lattice.
+    """
+    target = max(3, int(round(math.sqrt(satellites / 2.0))))
+    return nearest_divisor(satellites, target, minimum=3)
 
 
 def scale_access_capacity(graph, users_by_cell: Dict[str, int]) -> int:
@@ -178,8 +185,8 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
         One row dict per ``satellite_counts x hours_utc`` point.
     """
     for count in satellite_counts:
-        if count < 1:
-            raise ValueError(f"need at least one satellite, got {count}")
+        if count < 3:
+            raise ValueError(f"need at least 3 satellites, got {count}")
     for hour in hours_utc:
         if not 0.0 <= hour < 24.0:
             raise ValueError(f"hour must be in [0, 24), got {hour}")

@@ -38,18 +38,33 @@ FLEET_OWNER = "scale-fleet"
 PROBE_STATIONS = ("gs-virginia", "gs-frankfurt")
 
 
+def nearest_divisor(count: int, target: float, minimum: int = 1) -> int:
+    """The divisor of ``count`` (at least ``minimum``) nearest ``target``.
+
+    Walker lattices need ``planes | satellites``; plane-count heuristics
+    snap to an admissible divisor through this (ties go to the smaller
+    divisor, deterministically).
+
+    Raises:
+        ValueError: When ``count`` has no divisor of at least ``minimum``.
+    """
+    divisors = [d for d in range(max(1, minimum), count + 1) if count % d == 0]
+    if not divisors:
+        raise ValueError(
+            f"{count} satellites have no plane count >= {minimum}"
+        )
+    return min(divisors, key=lambda d: (abs(d - target), d))
+
+
 def plane_count_for(satellites: int) -> int:
     """The divisor of ``satellites`` nearest the near-square plane count.
 
-    Walker lattices need ``planes | satellites``; this snaps the
-    ``sqrt(N/2)`` heuristic to the closest admissible divisor (ties go
-    to the smaller plane count, deterministically).
+    Snaps the ``sqrt(N/2)`` heuristic to the closest admissible divisor
+    (see :func:`nearest_divisor`).
     """
     if satellites < 1:
         raise ValueError(f"need at least one satellite, got {satellites}")
-    target = math.sqrt(satellites / 2.0)
-    divisors = [d for d in range(1, satellites + 1) if satellites % d == 0]
-    return min(divisors, key=lambda d: (abs(d - target), d))
+    return nearest_divisor(satellites, math.sqrt(satellites / 2.0))
 
 
 def _probe_latency_ms(graph: nx.Graph) -> float:

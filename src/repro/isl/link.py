@@ -13,13 +13,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.phy.linkbudget import LinkBudget
-from repro.phy.modulation import achievable_rate_bps
-from repro.phy.optical import OpticalTerminal, optical_link_budget
-from repro.phy.rf import RFTerminal, rf_link_budget
+from repro.phy.linkbudget import LinkBudget, LinkBudgetArrays
+from repro.phy.modulation import achievable_rate_bps, achievable_rate_bps_array
+from repro.phy.optical import (
+    OpticalTerminal,
+    optical_link_budget,
+    optical_link_budget_arrays,
+)
+from repro.phy.rf import RFTerminal, rf_link_budget, rf_link_budget_arrays
 
 Terminal = Union[RFTerminal, OpticalTerminal]
 
@@ -37,6 +43,8 @@ class LinkTechnology(enum.Enum):
 
 
 _BAND_TO_TECH = {"uhf": LinkTechnology.RF_UHF, "s_band": LinkTechnology.RF_SBAND}
+#: Every technology, in declaration order.
+_TECHNOLOGIES = tuple(LinkTechnology)
 
 
 def technology_of(terminal: Terminal) -> Optional[LinkTechnology]:
@@ -111,24 +119,109 @@ def _evaluate(node_a: str, node_b: str, tech: LinkTechnology,
     )
 
 
+def terminals_by_technology(terminals: Sequence[Terminal]
+                            ) -> Dict[LinkTechnology, Terminal]:
+    """The first terminal of each ISL technology a spacecraft carries.
+
+    Keys follow :class:`LinkTechnology` declaration order, so iterating
+    the result is deterministic: equal-capacity candidates resolve the
+    same way in every process, whatever its hash seed.
+    """
+    first: Dict[LinkTechnology, Terminal] = {}
+    for terminal in terminals:
+        tech = technology_of(terminal)
+        if tech is not None:
+            first.setdefault(tech, terminal)
+    return {tech: first[tech] for tech in _TECHNOLOGIES if tech in first}
+
+
 def candidate_links(node_a: str, terminals_a: Sequence[Terminal],
                     node_b: str, terminals_b: Sequence[Terminal],
                     distance_km: float) -> Iterable[IslLink]:
-    """Every mutually supported technology pairing between two spacecraft."""
-    by_tech_a = {}
-    by_tech_b = {}
-    for terminal in terminals_a:
-        tech = technology_of(terminal)
-        if tech is not None:
-            by_tech_a.setdefault(tech, terminal)
-    for terminal in terminals_b:
-        tech = technology_of(terminal)
-        if tech is not None:
-            by_tech_b.setdefault(tech, terminal)
-    for tech in by_tech_a.keys() & by_tech_b.keys():
-        yield _evaluate(
-            node_a, node_b, tech, by_tech_a[tech], by_tech_b[tech], distance_km
+    """Every mutually supported technology pairing between two spacecraft.
+
+    Yielded in :class:`LinkTechnology` declaration order.
+    """
+    by_tech_a = terminals_by_technology(terminals_a)
+    by_tech_b = terminals_by_technology(terminals_b)
+    for tech, term_a in by_tech_a.items():
+        if tech in by_tech_b:
+            yield _evaluate(
+                node_a, node_b, tech, term_a, by_tech_b[tech], distance_km
+            )
+
+
+@dataclass(frozen=True)
+class PricedTechnology:
+    """One technology priced between one terminal pair over many ranges.
+
+    The array form of :func:`_evaluate`: every field is bitwise equal,
+    range for range, to the scalar pricing.
+
+    Attributes:
+        technology: The technology priced.
+        budgets: Link budgets over the ranges.
+        capacity_bps: MODCOD- or bandwidth-limited capacities; 0 where
+            the link does not close.
+        shannon_bps: For optical links, the Shannon capacities the
+            bandwidth clip was taken from; ``None`` for RF.
+    """
+
+    technology: LinkTechnology
+    budgets: LinkBudgetArrays
+    capacity_bps: np.ndarray
+    shannon_bps: Optional[np.ndarray]
+
+    def link(self, node_a: str, node_b: str, index: int,
+             distance_km: float) -> IslLink:
+        """The :class:`IslLink` at one range, as :func:`_evaluate` makes it.
+
+        Field types follow the scalar path, because snapshot digests
+        hash the link's ``repr``: ``path_loss_db`` is an ``np.float64``
+        and the other budget fields ``float`` (ISL bands are
+        exo-atmospheric, so the extra loss is a sum of terminal
+        constants); RF capacity is a ``float``, optical capacity
+        Python's ``min`` of the Shannon ``np.float64`` and the ``float``
+        clip.
+        """
+        budgets = self.budgets
+        if self.shannon_bps is None:
+            capacity = float(self.capacity_bps[index])
+        else:
+            capacity = min(self.shannon_bps[index], 2.0 * budgets.bandwidth_hz)
+        return IslLink(
+            node_a=node_a,
+            node_b=node_b,
+            technology=self.technology,
+            distance_km=distance_km,
+            budget=LinkBudget(
+                tx_power_dbw=budgets.tx_power_dbw,
+                tx_gain_dbi=budgets.tx_gain_dbi,
+                rx_gain_dbi=budgets.rx_gain_dbi,
+                path_loss_db=budgets.path_loss_db[index],
+                extra_loss_db=float(budgets.extra_loss_db[index]),
+                noise_power_dbw=budgets.noise_power_dbw,
+                bandwidth_hz=budgets.bandwidth_hz,
+            ),
+            capacity_bps=capacity,
         )
+
+
+def price_technology(tech: LinkTechnology, term_a: Terminal,
+                     term_b: Terminal,
+                     distances_km: np.ndarray) -> PricedTechnology:
+    """Price one technology between two terminals over many slant ranges."""
+    if tech is LinkTechnology.OPTICAL:
+        budgets = optical_link_budget_arrays(term_a, term_b, distances_km)
+        shannon = budgets.shannon_capacity_bps
+        # The budget bandwidth is the smaller terminal's, clipped at a
+        # practical 2 bps/Hz as in _evaluate.
+        capacity = np.minimum(shannon, 2.0 * budgets.bandwidth_hz)
+        capacity[budgets.snr_db < 3.0] = 0.0
+        return PricedTechnology(tech, budgets, capacity, shannon)
+    budgets = rf_link_budget_arrays(term_a, term_b, distances_km)
+    capacity = achievable_rate_bps_array(budgets.snr_db, budgets.bandwidth_hz)
+    return PricedTechnology(tech, budgets, capacity, None)
 
 
 def best_link_between(node_a: str, terminals_a: Sequence[Terminal],

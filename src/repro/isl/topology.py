@@ -16,15 +16,60 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.isl.link import IslLink, Terminal, best_link_between
+from repro.isl.link import (
+    LinkTechnology,
+    Terminal,
+    price_technology,
+    terminals_by_technology,
+)
+# Re-exported: the scalar per-pair pricing the array builder reproduces.
+from repro.isl.link import best_link_between as best_link_between
 from repro.orbits.visibility import line_of_sight_mask
 
 #: Fleets at least this large use the spatial grid for candidate
-#: discovery when the builder's ``spatial_index`` is left on auto.  Below
-#: this the vectorized all-pairs scan wins (the grid's per-cell Python
-#: loop costs more than the extra geometry it avoids); measured crossover
-#: on a Walker Delta sweep sits between ~1000 and ~1400 satellites.
+#: discovery when the builder's ``spatial_index`` is left on auto.  On a
+#: Walker Delta fleet with 3000 km ISLs the grid is already faster from
+#: a few hundred satellites; both paths give identical snapshots, so
+#: the threshold only moves wall clock.
 SPATIAL_AUTO_THRESHOLD = 1024
+
+
+#: Candidates the greedy walks between two sweeps that drop every
+#: candidate with a saturated endpoint.
+_GREEDY_BLOCK = 512
+
+
+def greedy_degree_capped(rows: np.ndarray, cols: np.ndarray,
+                         max_degree: Sequence[int]) -> np.ndarray:
+    """Accept pairs in order while both endpoints have spare degree.
+
+    The nearest-first ISL assignment: walking ``(rows[k], cols[k])`` in
+    order, a pair is accepted when neither endpoint has reached its
+    ``max_degree``.  Degrees only grow, so a pair with a saturated
+    endpoint can never be accepted later; between blocks of
+    ``_GREEDY_BLOCK`` pairs one array pass drops all such pairs, and the
+    Python walk only visits pairs that were open at the last sweep.
+
+    Returns:
+        Indices of the accepted pairs, ascending.
+    """
+    spare = np.maximum(np.asarray(max_degree, dtype=np.int64), 0)
+    pending = np.arange(rows.size, dtype=np.int64)
+    accepted: List[int] = []
+    while pending.size:
+        pending = pending[(spare[rows[pending]] > 0)
+                          & (spare[cols[pending]] > 0)]
+        block = pending[:_GREEDY_BLOCK]
+        pending = pending[_GREEDY_BLOCK:]
+        left = spare.tolist()
+        for k, row, col in zip(block.tolist(), rows[block].tolist(),
+                               cols[block].tolist()):
+            if left[row] > 0 and left[col] > 0:
+                left[row] -= 1
+                left[col] -= 1
+                accepted.append(k)
+        spare = np.asarray(left, dtype=np.int64)
+    return np.asarray(accepted, dtype=np.int64)
 
 
 @dataclass
@@ -144,6 +189,20 @@ class IslTopologyBuilder:
         self.spatial_index = spatial_index
         self.spatial_cell_deg = spatial_cell_deg
         self._by_id = {node.node_id: node for node in self.nodes}
+        # Terminal classes: nodes carrying equal first terminals of every
+        # ISL technology price identically, so pricing runs once per
+        # (class, class) group of candidate pairs.
+        classes: Dict[tuple, int] = {}
+        self._class_terminals: List[Dict[LinkTechnology, Terminal]] = []
+        node_class = []
+        for node in self.nodes:
+            by_tech = terminals_by_technology(node.terminals)
+            key = tuple(by_tech.items())
+            if key not in classes:
+                classes[key] = len(self._class_terminals)
+                self._class_terminals.append(by_tech)
+            node_class.append(classes[key])
+        self._node_class = np.asarray(node_class, dtype=np.int64)
 
     def _use_spatial(self, count: int) -> bool:
         if self.spatial_index is not None:
@@ -182,7 +241,9 @@ class IslTopologyBuilder:
         Candidate pairs are sorted nearest-first and accepted greedily while
         both endpoints have spare ISL degree — shorter links close at higher
         MODCODs, so nearest-first maximizes fleet capacity under the degree
-        caps.
+        caps.  A pair accepts the highest-capacity usable technology both
+        spacecraft carry (:func:`~repro.isl.link.best_link_between`'s
+        rule); a pair with none is skipped and takes no degree slot.
 
         Args:
             time_s: Snapshot timestamp (stored on the result).
@@ -194,86 +255,123 @@ class IslTopologyBuilder:
                 surviving fleet alone.
         """
         excluded = frozenset(exclude or ())
-        nodes = [n for n in self.nodes if n.node_id not in excluded]
+        members = [
+            index for index, node in enumerate(self.nodes)
+            if node.node_id not in excluded
+        ]
+        nodes = [self.nodes[index] for index in members]
         missing = [n.node_id for n in nodes if n.node_id not in positions]
         if missing:
             raise ValueError(f"positions missing for nodes: {missing}")
         graph = nx.Graph()
-        for node in nodes:
-            graph.add_node(node.node_id, owner=node.owner)
+        graph.add_nodes_from((node.node_id, {"owner": node.owner})
+                             for node in nodes)
 
         # Candidate discovery is fully vectorized and (above the auto
         # threshold) grid-pruned: distances and line-of-sight run only
         # over candidate pairs instead of an (N, N) matrix.  Candidates
-        # are walked in upper-triangle row-major order either way, so
-        # ties in the stable sort break exactly as the all-pairs
-        # enumeration did and pruning never changes the result.  The
-        # sorted sequence stays as flat lists (never a tuple per pair):
-        # at mega-constellation scale the degree caps exhaust long
-        # before the candidate tail, so the greedy loop's early exit
-        # must not pay for candidates it will never look at.
-        cand_rows: List[int] = []
-        cand_cols: List[int] = []
-        cand_dist: List[float] = []
+        # arrive in upper-triangle row-major order either way, so ties
+        # in the stable distance sort break exactly as the all-pairs
+        # enumeration does and pruning never changes the result.
         if len(nodes) >= 2:
             pos_matrix = np.stack(
                 [np.asarray(positions[n.node_id], dtype=float) for n in nodes]
             )
             rows, cols = self._candidate_index_pairs(pos_matrix)
-            if rows.size:
-                delta = pos_matrix[rows] - pos_matrix[cols]
-                distances = np.sqrt((delta * delta).sum(axis=-1))
-                feasible = (distances <= self.max_range_km) & line_of_sight_mask(
-                    pos_matrix[rows], pos_matrix[cols],
-                    self.grazing_altitude_km,
-                )
-                rows, cols = rows[feasible], cols[feasible]
-                distances = distances[feasible]
-                order = np.argsort(distances, kind="stable")
-                cand_rows = rows[order].tolist()
-                cand_cols = cols[order].tolist()
-                cand_dist = distances[order].tolist()
-
-        degree: Dict[str, int] = {node.node_id: 0 for node in nodes}
-        # Nodes with spare ISL capacity; once fewer than two remain no
-        # further candidate can be accepted, so the scan stops early.
-        open_nodes = sum(1 for node in nodes if node.max_degree > 0)
-        for distance, row, col in zip(cand_dist, cand_rows, cand_cols):
-            if open_nodes < 2:
-                break
-            node_a = nodes[row]
-            node_b = nodes[col]
-            if degree[node_a.node_id] >= node_a.max_degree:
-                continue
-            if degree[node_b.node_id] >= node_b.max_degree:
-                continue
-            link = best_link_between(
-                node_a.node_id, node_a.terminals,
-                node_b.node_id, node_b.terminals,
-                distance,
-                prefer_optical=node_a.allow_optical and node_b.allow_optical,
+        else:
+            rows = cols = np.empty(0, dtype=np.int64)
+        if rows.size:
+            delta = pos_matrix[rows] - pos_matrix[cols]
+            distances = np.sqrt((delta * delta).sum(axis=-1))
+            in_range = np.nonzero(distances <= self.max_range_km)[0]
+            rows, cols = rows[in_range], cols[in_range]
+            distances = distances[in_range]
+            feasible = line_of_sight_mask(
+                pos_matrix[rows], pos_matrix[cols], self.grazing_altitude_km,
             )
-            if link is None:
-                continue
-            graph.add_edge(
-                node_a.node_id,
-                node_b.node_id,
-                link=link,
-                delay_s=link.propagation_delay_s,
-                capacity_bps=link.capacity_bps,
+            rows, cols = rows[feasible], cols[feasible]
+            distances = distances[feasible]
+            order = np.argsort(distances, kind="stable")
+            rows, cols, distances = rows[order], cols[order], distances[order]
+            rows, cols, distances, entry, slot, priced = self._price_candidates(
+                np.asarray(members, dtype=np.int64), rows, cols, distances
             )
-            degree[node_a.node_id] += 1
-            degree[node_b.node_id] += 1
-            if degree[node_a.node_id] >= node_a.max_degree:
-                open_nodes -= 1
-            if degree[node_b.node_id] >= node_b.max_degree:
-                open_nodes -= 1
+            accepted = greedy_degree_capped(
+                rows, cols, [node.max_degree for node in nodes]
+            )
+            # Only accepted links become objects.
+            links = (
+                priced[index].link(nodes[row].node_id, nodes[col].node_id,
+                                   at, distance)
+                for row, col, distance, index, at in zip(
+                    rows[accepted].tolist(), cols[accepted].tolist(),
+                    distances[accepted].tolist(), entry[accepted].tolist(),
+                    slot[accepted].tolist())
+            )
+            graph.add_edges_from(
+                (link.node_a, link.node_b, {
+                    "link": link,
+                    "delay_s": link.propagation_delay_s,
+                    "capacity_bps": link.capacity_bps,
+                })
+                for link in links
+            )
 
         return TopologySnapshot(
             time_s=time_s,
             graph=graph,
             positions={k: np.asarray(v, dtype=float) for k, v in positions.items()},
         )
+
+    def _price_candidates(self, members: np.ndarray, rows: np.ndarray,
+                          cols: np.ndarray, distances: np.ndarray):
+        """Best usable technology of every feasible pair, priced in arrays.
+
+        Pairs are grouped by the terminal classes of their endpoints;
+        each group prices each technology both classes carry in one
+        array call, in declaration order, keeping the first of equal
+        capacities (``best_link_between``'s strict ``>``).  Optical is
+        priced only where both endpoints allow it.
+
+        Returns:
+            ``(rows, cols, distances, entry, slot, priced)`` restricted
+            to the pairs with a usable link, still nearest-first: pair
+            ``k``'s best link is row ``slot[k]`` of the
+            :class:`~repro.isl.link.PricedTechnology` ``priced[entry[k]]``.
+        """
+        node_class = self._node_class[members]
+        class_a = node_class[rows]
+        class_b = node_class[cols]
+        n_classes = len(self._class_terminals)
+        group = class_a * n_classes + class_b
+        allow = np.array([self.nodes[i].allow_optical for i in members.tolist()],
+                         dtype=bool)
+        best = np.zeros(rows.size)
+        entry = np.full(rows.size, -1, dtype=np.int64)
+        slot = np.zeros(rows.size, dtype=np.int64)
+        priced = []
+        for key in np.unique(group).tolist():
+            pairs = np.nonzero(group == key)[0]
+            slot[pairs] = np.arange(pairs.size)
+            terms_a = self._class_terminals[key // n_classes]
+            terms_b = self._class_terminals[key % n_classes]
+            for tech, term_a in terms_a.items():
+                term_b = terms_b.get(tech)
+                if term_b is None:
+                    continue
+                pricing = price_technology(tech, term_a, term_b,
+                                           distances[pairs])
+                capacity = pricing.capacity_bps
+                usable = capacity > best[pairs]
+                if tech is LinkTechnology.OPTICAL:
+                    usable &= allow[rows[pairs]] & allow[cols[pairs]]
+                better = pairs[usable]
+                best[better] = capacity[usable]
+                entry[better] = len(priced)
+                priced.append(pricing)
+        keep = entry >= 0
+        return (rows[keep], cols[keep], distances[keep], entry[keep],
+                slot[keep], priced)
 
     def snapshot_delta(self, time_s: float,
                        positions: Dict[str, np.ndarray],

@@ -62,6 +62,8 @@ class TestDemandSweep:
     def test_validation(self):
         with pytest.raises(ValueError, match="satellite"):
             demand_sweep(satellite_counts=(0,))
+        with pytest.raises(ValueError, match="at least 3 satellites"):
+            demand_sweep(satellite_counts=(2,))
         with pytest.raises(ValueError, match="hour"):
             demand_sweep(hours_utc=(24.5,))
 
@@ -71,6 +73,23 @@ class TestHelpers:
         assert plane_count_for(24) >= 3
         assert plane_count_for(66) == plane_count_for(66)
         assert plane_count_for(400) > plane_count_for(66)
+
+    def test_plane_count_always_divides(self):
+        for satellites in range(3, 1200):
+            planes = plane_count_for(satellites)
+            assert planes >= 3
+            assert satellites % planes == 0
+
+    def test_plane_count_snaps_to_nearest_divisor(self):
+        # sqrt(360 / 2) rounds to 13, which does not divide 360.
+        assert plane_count_for(360) == 12
+        assert plane_count_for(288) == 12  # already a divisor: kept
+        assert plane_count_for(48) == 4  # 4 and 6 tie: the smaller
+        assert plane_count_for(7) == 7  # prime: one satellite per plane
+
+    def test_too_small_fleet_rejected(self):
+        with pytest.raises(ValueError, match="plane count"):
+            plane_count_for(2)
 
     def test_scale_access_capacity_idempotent(self):
         import networkx as nx

@@ -1,5 +1,10 @@
 """Tests for the ISL link abstraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.isl.link import (
@@ -113,3 +118,39 @@ class TestIslLinkProperties:
         dead = IslLink("a", "b", LinkTechnology.RF_UHF, 1.0,
                        self._link().budget, 0.0)
         assert dead.serialization_delay_s() == float("inf")
+
+
+#: Prints the technology order ``candidate_links`` yields for terminals
+#: listed in reverse declaration order.
+_ORDER_SCRIPT = """
+from repro.isl.link import candidate_links
+from repro.phy.optical import OpticalTerminal
+from repro.phy.rf import standard_sband_isl_terminal, standard_uhf_isl_terminal
+terminals = [OpticalTerminal(), standard_sband_isl_terminal(),
+             standard_uhf_isl_terminal()]
+print([link.technology.name
+       for link in candidate_links("a", terminals, "b", terminals, 1500.0)])
+"""
+
+
+class TestTechnologyOrder:
+    def test_candidates_follow_declaration_order(self):
+        terminals = [OpticalTerminal(), standard_sband_isl_terminal(),
+                     standard_uhf_isl_terminal()]
+        links = candidate_links("a", terminals, "b", terminals, 1500.0)
+        assert [link.technology for link in links] == list(LinkTechnology)
+
+    def test_order_independent_of_hash_seed(self):
+        # LinkTechnology hashes by name, so a set of technologies
+        # iterates in a PYTHONHASHSEED-dependent order; the candidate
+        # order (and so the winner of a capacity tie) must not.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        orders = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _ORDER_SCRIPT], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            orders.add(result.stdout.strip())
+        assert orders == {str([tech.name for tech in LinkTechnology])}

@@ -95,6 +95,16 @@ class TestDemand:
         assert main(["demand", "sweep", "--satellites", "24",
                      "--hours", "25"]) != 0
 
+    def test_sweep_at_360_satellites(self, capsys):
+        # The plane-count heuristic gives 13 here, which does not divide
+        # 360; the sweep must snap it to a divisor instead of crashing.
+        assert main(["demand", "sweep", "--satellites", "360",
+                     "--hours", "12", "--users", "20000",
+                     "--bands", "8", "--equator-columns", "16"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0] == "360"]
+        assert len(rows) == 1
+
 
 class TestObservability:
     def test_trace_covers_engine_routing_and_experiment(self, capsys,
