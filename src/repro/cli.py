@@ -19,9 +19,9 @@ reproduction without writing any code:
 * ``demand sweep`` — the million-user fluid traffic plane: diurnal
   congestion (utilization, delay inflation) and settlement revenue vs
   constellation size, byte-identical at any ``--jobs`` count;
-* ``scale sweep`` — mega-constellation scale: topology churn, CSR
-  structure reuse, and the delta-vs-full snapshot digest proof over one
-  orbital period, byte-identical at any ``--jobs`` count;
+* ``scale sweep`` — mega-constellation scale: topology churn and a
+  gateway latency probe over one orbital period, byte-identical at any
+  ``--jobs`` count;
 * ``dtn sweep`` — disrupted communications: IoT telemetry evacuated
   from a regional gateway blackout through the store-and-forward
   bundle plane (delivery ratio/delay, custody retransmissions, buffer
@@ -414,18 +414,14 @@ def _cmd_reliability_sweep(args: argparse.Namespace) -> int:
 def _cmd_demand_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.demand import demand_sweep
 
-    try:
-        rows = demand_sweep(
-            satellite_counts=tuple(args.satellites),
-            hours_utc=tuple(args.hours),
-            total_users=args.users, bands=args.bands,
-            equator_columns=args.equator_columns,
-            distribution=args.distribution, spread_deg=args.spread,
-            seed=args.seed, duration_s=args.duration, jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"bad demand sweep options: {exc}", file=sys.stderr)
-        return 1
+    rows = demand_sweep(
+        satellite_counts=tuple(args.satellites),
+        hours_utc=tuple(args.hours),
+        total_users=args.users, bands=args.bands,
+        equator_columns=args.equator_columns,
+        distribution=args.distribution, spread_deg=args.spread,
+        seed=args.seed, duration_s=args.duration, jobs=args.jobs,
+    )
     print("sats hour users cells routed offered_gbps served "
           "mean_util peak_util p95_infl revenue_usd iters conv")
     for row in rows:
@@ -445,62 +441,39 @@ def _cmd_scale_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.scale import scale_sweep
 
     spatial = {"auto": None, "on": True, "off": False}[args.spatial]
-    try:
-        rows = scale_sweep(
-            satellite_counts=tuple(args.satellites),
-            epochs=args.epochs, max_range_km=args.range_km,
-            spatial=spatial, delta=not args.no_delta,
-            compare_digests=not args.no_digest_check, jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"bad scale sweep options: {exc}", file=sys.stderr)
-        return 1
+    rows = scale_sweep(
+        satellite_counts=tuple(args.satellites),
+        epochs=args.epochs, max_range_km=args.range_km,
+        spatial=spatial, jobs=args.jobs,
+    )
     print("sats planes epochs edges degree churn_mean churn_max "
-          "full delta appeared gone reuse latency_ms reach digests")
-    failed = False
+          "appeared gone latency_ms reach")
     for row in rows:
         latency = row["probe_latency_ms"]
         latency_text = f"{latency:10.3f}" if latency == latency else (
             "        --")
-        if row["digests_match"] is None:
-            digest_text = "   --"
-        elif row["digests_match"]:
-            digest_text = "   ok"
-        else:
-            digest_text = " FAIL"
-            failed = True
         print(f"{row['satellites']:>4} {row['planes']:>6} "
               f"{row['epochs']:>6} {row['mean_isl_edges']:>8.1f} "
               f"{row['mean_degree']:>6.2f} {row['churn_mean']:>10.4f} "
-              f"{row['churn_max']:>9.4f} {row['full_builds']:>4} "
-              f"{row['delta_builds']:>5} {row['edges_appeared']:>8} "
-              f"{row['edges_disappeared']:>4} {row['structure_reuses']:>5} "
-              f"{latency_text} {row['probe_reachable_epochs']:>5} "
-              f"{digest_text}")
-    if failed:
-        print("delta-built snapshot digest diverged from full rebuild",
-              file=sys.stderr)
-        return 1
+              f"{row['churn_max']:>9.4f} {row['edges_appeared']:>8} "
+              f"{row['edges_disappeared']:>4} "
+              f"{latency_text} {row['probe_reachable_epochs']:>5}")
     return 0
 
 
 def _cmd_dtn_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.disrupted import disrupted_sweep
 
-    try:
-        rows = disrupted_sweep(
-            radii_km=tuple(args.radius),
-            durations_s=tuple(args.duration),
-            buffer_kb=tuple(args.buffer_kb),
-            horizon_s=args.horizon, step_s=args.step, loss=args.loss,
-            sensors=args.sensors, satellites=args.satellites,
-            bundle_interval_s=args.interval,
-            bundle_bytes=args.bundle_bytes, ttl_s=args.ttl,
-            seed=args.seed, jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"bad dtn sweep options: {exc}", file=sys.stderr)
-        return 1
+    rows = disrupted_sweep(
+        radii_km=tuple(args.radius),
+        durations_s=tuple(args.duration),
+        buffer_kb=tuple(args.buffer_kb),
+        horizon_s=args.horizon, step_s=args.step, loss=args.loss,
+        sensors=args.sensors, satellites=args.satellites,
+        bundle_interval_s=args.interval,
+        bundle_bytes=args.bundle_bytes, ttl_s=args.ttl,
+        seed=args.seed, jobs=args.jobs,
+    )
     print("radius_km blackout_s buf_kb down created delivered ratio "
           "mean_delay_s max_delay_s retx drops expired replans backlog")
     for row in rows:
@@ -594,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_flags.add_argument(
         "--routing-backend", choices=("csr", "networkx"), default=None,
         metavar="NAME",
-        help="shortest-path backend: csr (scipy, default when available) "
+        help="shortest-path backend: csr (scipy, default) "
              "or networkx (reference; results are identical)")
 
     p2a = sub.add_parser("figure2a", parents=[obs_flags],
@@ -767,13 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
     pds.set_defaults(func=_cmd_demand_sweep)
 
     pscl = sub.add_parser("scale",
-                          help="mega-constellation topology churn and "
-                               "delta-snapshot proof")
+                          help="mega-constellation topology churn")
     scl_sub = pscl.add_subparsers(dest="scale_command", required=True)
     pss = scl_sub.add_parser(
         "sweep", parents=[obs_flags, jobs_flags],
-        help="topology churn & delta-vs-full digests vs fleet size "
-             "over one orbital period")
+        help="topology churn & gateway latency vs fleet size over one "
+             "orbital period")
     pss.add_argument("--satellites", type=int, nargs="+",
                      default=[48, 180],
                      help="Walker-Delta fleet sizes to sweep")
@@ -785,12 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="auto",
                      help="grid-pruned candidate discovery (auto "
                           "switches on fleet size; results identical)")
-    pss.add_argument("--no-delta", action="store_true",
-                     help="rebuild every epoch from scratch instead of "
-                          "the incremental delta path")
-    pss.add_argument("--no-digest-check", action="store_true",
-                     help="skip the delta-vs-full digest comparison "
-                          "(halves the work)")
     pss.set_defaults(func=_cmd_scale_sweep)
 
     pdtn = sub.add_parser("dtn",
@@ -863,6 +829,22 @@ def _manifest_for(args: argparse.Namespace) -> dict:
                         command=args.command)
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run the chosen command; a rejected option value exits with code 2.
+
+    Every sweep driver validates its arguments before any worker starts
+    and raises ``ValueError``; this is the one place that turns that into
+    a one-line usage error instead of a traceback.
+    """
+    try:
+        return args.func(args)
+    except ValueError as error:
+        command = " ".join(filter(None, (
+            args.command, getattr(args, f"{args.command}_command", None))))
+        print(f"bad {command} options: {error}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -880,7 +862,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # is useful even when no export file was requested.
     if not (trace_path or metrics_path or events_path or prom_path
             or flight_size is not None):
-        return args.func(args)
+        return _run(args)
 
     from repro import obs
     from repro.obs.export import (
@@ -900,7 +882,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         with obs.use(recorder):
-            exit_code = args.func(args)
+            exit_code = _run(args)
     except BaseException:
         # Crash path: dump the flight recorder so the timeline leading
         # up to the failure survives even though no export file will.

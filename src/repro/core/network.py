@@ -37,7 +37,6 @@ from repro.phy.rf import RFTerminal, rf_link_budget_arrays
 from repro.phy.rf import rf_link_budget as rf_link_budget
 from repro.routing.csr import (
     BACKEND_CSR,
-    HAVE_SCIPY,
     NO_PREDECESSOR,
     CsrAdjacency,
     block_diagonal_dijkstra,
@@ -89,46 +88,42 @@ def _link_capacities(tx_terminals: Sequence[RFTerminal], tx_class: np.ndarray,
 class SnapshotDelta:
     """What changed between one base snapshot and the previous one.
 
-    Recorded by :class:`OpenSpaceNetwork` on every base-snapshot build
-    (see :attr:`OpenSpaceNetwork.last_snapshot_delta`) so incremental
-    consumers — route invalidation, churn accounting, the scale sweep —
-    know exactly which edges moved without diffing graphs themselves.
+    Every base snapshot is a full build; :class:`OpenSpaceNetwork` then
+    diffs its edge sets against the previous base snapshot's and records
+    the result (see :attr:`OpenSpaceNetwork.last_snapshot_delta`), so
+    churn accounting and route invalidation know exactly which edges
+    moved without diffing graphs themselves.
 
     Attributes:
         time_s: The new snapshot's timestamp.
-        base_time_s: The previous snapshot's timestamp (None on a full
-            rebuild with no usable predecessor).
-        isl: The ISL-layer edge delta, or None on a full rebuild.
-        ground_appeared: Station links present now but not previously.
-        ground_disappeared: Station links present previously, gone now.
-        structure_unchanged: True when the combined edge set (ISLs and
-            ground links) is identical to the previous snapshot's, which
-            lets cached CSR adjacencies be reused structurally.
-        full_rebuild: True when the snapshot was assembled from scratch
-            (first build, fault-state change, or delta disabled).
+        base_time_s: The timestamp of the snapshot diffed against (None
+            on a full rebuild).
+        isl: The ISL-layer edge diff, or None on a full rebuild.
+        ground: The station-link diff over ``(satellite, station)``
+            pairs, or None on a full rebuild.
+        full_rebuild: True when there was nothing to diff against
+            (first build, or the fault state changed since the previous
+            one).
     """
 
     time_s: float
     base_time_s: Optional[float]
     isl: Optional[TopologyDelta]
-    ground_appeared: Tuple[Tuple[str, str], ...] = ()
-    ground_disappeared: Tuple[Tuple[str, str], ...] = ()
-    structure_unchanged: bool = False
+    ground: Optional[TopologyDelta] = None
     full_rebuild: bool = False
 
     @property
     def changed_edge_count(self) -> int:
-        isl_changed = self.isl.changed_count if self.isl is not None else 0
-        return (isl_changed + len(self.ground_appeared)
-                + len(self.ground_disappeared))
+        return sum(diff.changed_count for diff in (self.isl, self.ground)
+                   if diff is not None)
 
     @property
     def disappeared_edges(self) -> Tuple[Tuple[str, str], ...]:
         """Every edge that vanished, ISL and ground alike — the set to
         feed :meth:`~repro.routing.proactive.ProactiveRouter.
         invalidate_routes_through_edges`."""
-        isl_gone = self.isl.disappeared if self.isl is not None else ()
-        return tuple(isl_gone) + tuple(self.ground_disappeared)
+        return tuple(pair for diff in (self.isl, self.ground)
+                     if diff is not None for pair in diff.disappeared)
 
 
 @dataclass
@@ -154,13 +149,6 @@ class NetworkSnapshot:
     _csr_cache: Dict[EdgeCostModel, CsrAdjacency] = field(
         default_factory=dict, repr=False, compare=False,
     )
-    #: A structurally identical predecessor snapshot (set by the delta
-    #: build path when no edges appeared or disappeared); its cached
-    #: adjacencies seed ours via ``structure_clone`` instead of a full
-    #: CSR rebuild.
-    _csr_source: Optional["NetworkSnapshot"] = field(
-        default=None, repr=False, compare=False,
-    )
 
     def csr_adjacency(self, cost_model: Optional[EdgeCostModel] = None,
                       ) -> CsrAdjacency:
@@ -168,13 +156,7 @@ class NetworkSnapshot:
         model = cost_model or PROPAGATION_ONLY
         adjacency = self._csr_cache.get(model)
         if adjacency is None:
-            source = self._csr_source
-            if source is not None:
-                template = source._csr_cache.get(model)
-                if template is not None:
-                    adjacency = template.structure_clone(self.graph)
-            if adjacency is None:
-                adjacency = CsrAdjacency.from_graph(self.graph, weight=model)
+            adjacency = CsrAdjacency.from_graph(self.graph, weight=model)
             self._csr_cache[model] = adjacency
         return adjacency
 
@@ -184,8 +166,8 @@ class NetworkSnapshot:
         Nodes and edges are serialized in sorted order with sorted
         attribute keys, so the digest depends only on graph *content* —
         never on insertion order.  This is the equality witness the
-        delta-vs-full-rebuild gates compare: a delta-built snapshot must
-        hash identically to a from-scratch build at the same instant.
+        digest gates compare (grid vs all-pairs candidate search, primed
+        vs lazy positions, pinned benchmark outputs).
         """
         hasher = hashlib.sha256()
         hasher.update(repr(self.time_s).encode())
@@ -282,12 +264,6 @@ class OpenSpaceNetwork:
             default ``0.0`` keys on the exact request time (a hit
             requires the same instant); a positive quantum trades
             sub-quantum staleness for hits across nearby times.
-        snapshot_delta: Build each base snapshot as a delta on the
-            previous one (graph copy + changed edges) instead of from
-            scratch.  Content is byte-identical either way (see
-            :meth:`NetworkSnapshot.digest`); ``False`` restores the
-            always-full-rebuild path, the oracle the digest gates
-            compare against.
         spatial_index: Forwarded to the ISL builder: ``True``/``False``
             force grid-pruned or all-pairs candidate discovery, ``None``
             switches on fleet size.
@@ -300,7 +276,6 @@ class OpenSpaceNetwork:
                  gateway_dish_m: float = 3.5,
                  snapshot_cache_size: int = 64,
                  snapshot_cache_quantum_s: float = 0.0,
-                 snapshot_delta: bool = True,
                  spatial_index: Optional[bool] = None):
         if not satellites:
             raise ValueError("need at least one satellite")
@@ -348,21 +323,22 @@ class OpenSpaceNetwork:
         self._snapshot_cache: "OrderedDict[tuple, NetworkSnapshot]" = (
             OrderedDict()
         )
-        self.snapshot_delta_enabled = snapshot_delta
-        #: The delta recorded by the most recent base-snapshot build.
+        #: The edge diff recorded by the most recent base-snapshot build.
         self.last_snapshot_delta: Optional[SnapshotDelta] = None
         #: Cumulative build accounting (deterministic per call sequence).
         self.delta_stats: Dict[str, int] = {
             "full_builds": 0,
+            # Every build is full; stays 0 because perfbench/tracing.py reads it.
             "delta_builds": 0,
             "edges_appeared": 0,
             "edges_disappeared": 0,
             "edges_persisted": 0,
-            "structure_reuses": 0,
         }
-        self._delta_prev: Optional[NetworkSnapshot] = None
-        self._delta_prev_epoch: int = -1
-        self._delta_prev_ground: FrozenSet[Tuple[str, str]] = frozenset()
+        # What the next build diffs against: the previous base
+        # snapshot's ISL topology and station links, and its fault epoch.
+        self._prev_isl: Optional[TopologySnapshot] = None
+        self._prev_ground: FrozenSet[Tuple[str, str]] = frozenset()
+        self._prev_epoch: int = -1
         self._primed_positions: Dict[float, Dict[str, np.ndarray]] = {}
 
     @classmethod
@@ -644,30 +620,55 @@ class OpenSpaceNetwork:
     def _base_snapshot(self, time_s: float) -> NetworkSnapshot:
         """The no-user snapshot (ISLs + ground stations), cached.
 
-        Built as a delta on the previous base snapshot whenever one
-        exists under the same fault epoch (and delta building is
-        enabled); otherwise assembled from scratch.  Both paths produce
-        content-identical snapshots — :meth:`NetworkSnapshot.digest` is
-        the gate that keeps the delta path a proof, not a fork.
+        Always assembled from scratch.  Under an unchanged fault state
+        its ISL and station-link edge sets are then diffed against the
+        previous base snapshot's (see :attr:`last_snapshot_delta`).
         """
         key = self._cache_key(time_s, ())
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        prev = self._delta_prev
-        snap = None
-        if (self.snapshot_delta_enabled and prev is not None
-                and self._delta_prev_epoch == self._fault_epoch):
-            snap = self._delta_base_snapshot(time_s, prev)
-        if snap is None:
-            snap = self._full_base_snapshot(time_s)
-        # Only the immediate predecessor is kept as a CSR structure
-        # template; breaking the older link bounds the chain at two
-        # generations instead of retaining every epoch ever built.
-        if prev is not None:
-            prev._csr_source = None
-        self._delta_prev = snap
-        self._delta_prev_epoch = self._fault_epoch
+        previous = (self._prev_isl if self._prev_epoch == self._fault_epoch
+                    else None)
+        positions = self.satellite_positions(time_s)
+        isl_snap, isl_delta = self._builder.snapshot_delta(
+            time_s, positions, exclude=self._failed_satellites or None,
+            previous=previous,
+        )
+        graph = isl_snap.graph.copy()
+        alive = self._alive_satellites()
+        for spec in alive:
+            graph.nodes[spec.satellite_id]["kind"] = "satellite"
+            graph.nodes[spec.satellite_id]["owner"] = spec.owner
+        for node_a, node_b in self._failed_links:
+            if graph.has_edge(node_a, node_b):
+                graph.remove_edge(node_a, node_b)
+        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
+        snap = NetworkSnapshot(time_s=time_s, graph=graph,
+                               isl_snapshot=isl_snap)
+
+        stats = self.delta_stats
+        if isl_delta.full_rebuild:
+            delta = SnapshotDelta(time_s=time_s, base_time_s=None, isl=None,
+                                  full_rebuild=True)
+        else:
+            ground_delta = TopologyDelta.between(self._prev_ground,
+                                                 ground_pairs)
+            delta = SnapshotDelta(time_s=time_s, base_time_s=previous.time_s,
+                                  isl=isl_delta, ground=ground_delta)
+            stats["edges_appeared"] += (len(isl_delta.appeared)
+                                        + len(ground_delta.appeared))
+            stats["edges_disappeared"] += (len(isl_delta.disappeared)
+                                           + len(ground_delta.disappeared))
+            stats["edges_persisted"] += len(isl_delta.persisted)
+        stats["full_builds"] += 1
+        self.last_snapshot_delta = delta
+        self._prev_isl = isl_snap
+        self._prev_ground = ground_pairs
+        self._prev_epoch = self._fault_epoch
+        recorder = _obs.active()
+        if recorder.enabled:
+            recorder.count("network.snapshot.full_build")
         self._cache_put(key, snap)
         return snap
 
@@ -718,115 +719,6 @@ class OpenSpaceNetwork:
                                **self._ground_attrs(station, distance, capacity))
                 pairs.add((sat_id, station.station_id))
         return frozenset(pairs)
-
-    def _full_base_snapshot(self, time_s: float) -> NetworkSnapshot:
-        """Assemble the base snapshot from scratch."""
-        prev = self._delta_prev
-        positions = self.satellite_positions(time_s)
-        isl_snap = self._builder.snapshot(
-            time_s, positions, exclude=self._failed_satellites or None
-        )
-        graph = isl_snap.graph.copy()
-        alive = self._alive_satellites()
-        for spec in alive:
-            graph.nodes[spec.satellite_id]["kind"] = "satellite"
-            graph.nodes[spec.satellite_id]["owner"] = spec.owner
-        for node_a, node_b in self._failed_links:
-            if graph.has_edge(node_a, node_b):
-                graph.remove_edge(node_a, node_b)
-        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
-
-        snap = NetworkSnapshot(time_s=time_s, graph=graph,
-                               isl_snapshot=isl_snap)
-        self._delta_prev_ground = ground_pairs
-        self.last_snapshot_delta = SnapshotDelta(
-            time_s=time_s,
-            base_time_s=prev.time_s if prev is not None else None,
-            isl=None,
-            full_rebuild=True,
-        )
-        self.delta_stats["full_builds"] += 1
-        recorder = _obs.active()
-        if recorder.enabled:
-            recorder.count("network.snapshot.full_build")
-        return snap
-
-    def _delta_base_snapshot(self, time_s: float,
-                             prev: NetworkSnapshot,
-                             ) -> Optional[NetworkSnapshot]:
-        """Assemble the base snapshot as a delta on ``prev``.
-
-        Returns None when no comparable previous topology exists (the
-        participating node set changed), sending the caller down the
-        full path.  The previous snapshot is never mutated — it may
-        still be served from the snapshot cache.
-        """
-        positions = self.satellite_positions(time_s)
-        isl_snap, isl_delta = self._builder.snapshot_delta(
-            time_s, positions, exclude=self._failed_satellites or None,
-            previous=prev.isl_snapshot,
-        )
-        if isl_delta.full_rebuild:
-            return None
-        graph = prev.graph.copy()
-        failed = self._failed_links
-        new_edges = isl_snap.graph.edges
-        for pair in isl_delta.disappeared:
-            if graph.has_edge(*pair):
-                graph.remove_edge(*pair)
-        for pair in isl_delta.appeared:
-            if pair in failed:
-                continue
-            graph.add_edge(pair[0], pair[1], **new_edges[pair])
-        for pair in isl_delta.persisted:
-            if pair in failed:
-                continue
-            # Weight-refresh in place: the link was re-budgeted at the
-            # new distance, but the edge (and the copied attr dict)
-            # persists.
-            graph.edges[pair].update(new_edges[pair])
-        # Ground geometry moves every epoch (stations rotate with the
-        # Earth), so station links are recomputed outright.
-        stale_ground = [
-            (u, v) for u, v, data in graph.edges(data=True)
-            if data.get("kind") == "ground_link"
-        ]
-        graph.remove_edges_from(stale_ground)
-        alive = self._alive_satellites()
-        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
-
-        prev_ground = self._delta_prev_ground
-        ground_appeared = tuple(sorted(ground_pairs - prev_ground))
-        ground_disappeared = tuple(sorted(prev_ground - ground_pairs))
-        structure_unchanged = (
-            not isl_delta.appeared and not isl_delta.disappeared
-            and not ground_appeared and not ground_disappeared
-        )
-        snap = NetworkSnapshot(time_s=time_s, graph=graph,
-                               isl_snapshot=isl_snap)
-        if structure_unchanged:
-            snap._csr_source = prev
-            self.delta_stats["structure_reuses"] += 1
-        self._delta_prev_ground = ground_pairs
-        self.last_snapshot_delta = SnapshotDelta(
-            time_s=time_s,
-            base_time_s=prev.time_s,
-            isl=isl_delta,
-            ground_appeared=ground_appeared,
-            ground_disappeared=ground_disappeared,
-            structure_unchanged=structure_unchanged,
-        )
-        stats = self.delta_stats
-        stats["delta_builds"] += 1
-        stats["edges_appeared"] += len(isl_delta.appeared) + len(ground_appeared)
-        stats["edges_disappeared"] += (
-            len(isl_delta.disappeared) + len(ground_disappeared)
-        )
-        stats["edges_persisted"] += len(isl_delta.persisted)
-        recorder = _obs.active()
-        if recorder.enabled:
-            recorder.count("network.snapshot.delta_build")
-        return snap
 
     def _user_access_links(self, users: Sequence[UserTerminal],
                            alive: Sequence[SpacecraftSpec],
@@ -1000,8 +892,7 @@ class OpenSpaceNetwork:
         :meth:`NetworkSnapshot.nearest_ground_station_route`) — same
         float64 operations on the same values, same station iteration
         order, same strict ``<`` tie-breaking; the engine digest gates
-        and ``tests/core/test_network_batched.py`` enforce it.  Without
-        scipy the method falls back to the scalar loop.
+        and ``tests/core/test_network_batched.py`` enforce it.
 
         Args:
             time_s: Probe instant.
@@ -1016,17 +907,6 @@ class OpenSpaceNetwork:
         users = list(users)
         if not users:
             return {}
-        if not HAVE_SCIPY:
-            results: Dict[str, Optional[List[str]]] = {}
-            for user in users:
-                snap = self.snapshot(time_s, users=[user])
-                metrics = snap.nearest_ground_station_route(
-                    user.user_id, cost_model
-                )
-                results[user.user_id] = (
-                    None if metrics is None else list(metrics.path)
-                )
-            return results
         model = cost_model or PROPAGATION_ONLY
         base = self.snapshot(time_s)
         adjacency = base.csr_adjacency(model)
@@ -1056,7 +936,7 @@ class OpenSpaceNetwork:
         )
         graph = base.graph
         nodes = adjacency.nodes
-        results = {}
+        results: Dict[str, Optional[List[str]]] = {}
         for row, user in enumerate(users):
             offset = int(offsets[row])
             row_dist = dist[row]

@@ -431,6 +431,9 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
         raise ValueError(f"need at least one trial, got {trials}")
     if epochs < 1:
         raise ValueError(f"need at least one epoch, got {epochs}")
+    for count in satellite_counts:
+        if count < 1:
+            raise ValueError(f"need at least one satellite, got {count}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     # Resolve the backend here so worker processes get a concrete name in
@@ -527,6 +530,9 @@ def figure_2c_coverage(satellite_counts: Sequence[int] = tuple(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    for count in satellite_counts:
+        if count < 1:
+            raise ValueError(f"need at least one satellite, got {count}")
     points = [
         (int(count), trials, derive_seed(seed, "figure2c", int(count)),
          altitude_km)

@@ -243,6 +243,10 @@ def dynamic_resilience_sweep(mtbf_hours: Sequence[float] = (1.0, 3.0, 12.0),
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if epochs < 1:
+        raise ValueError(f"need at least one epoch, got {epochs}")
+    if horizon_s <= 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon_s}")
     points = []
     for index, mtbf_h in enumerate(mtbf_hours):
         if mtbf_h <= 0.0:

@@ -1,16 +1,12 @@
-"""Mega-constellation scale sweep: topology churn and delta-vs-full proof.
+"""Mega-constellation scale sweep: topology churn over one orbit.
 
 For every swept fleet size this experiment builds a Walker-Delta
 constellation, walks one full orbital period in equal epochs, and builds
-the network snapshot at each epoch twice: once through the incremental
-delta path (:class:`repro.core.network.OpenSpaceNetwork` with
-``snapshot_delta=True``, grid-pruned candidate discovery) and once as an
-independent full rebuild.  Each row reports the topology-churn numbers
-the delta machinery exploits (edges appeared/disappeared per epoch,
-churn fraction, CSR structure reuses) plus a user-visible latency probe
-(gateway-to-gateway shortest-path delay), and asserts the tentpole
-invariant: the delta-built snapshot digest is byte-identical to the full
-rebuild at every epoch.
+the network snapshot at each epoch (grid-pruned candidate discovery
+from ``SPATIAL_AUTO_THRESHOLD`` satellites).  Each row reports the
+topology churn read from the snapshots' edge diffs (edges
+appeared/disappeared per epoch, churn fraction) plus a user-visible
+latency probe (gateway-to-gateway shortest-path delay).
 
 Every row is a pure function of the arguments — no randomness — so the
 sweep prints byte-identical rows at any ``--jobs`` count (the
@@ -81,8 +77,7 @@ def _probe_latency_ms(graph: nx.Graph) -> float:
 
 def _scale_point(args: tuple) -> Dict:
     """One fleet size, self-contained for process-pool execution."""
-    (satellites, epochs, max_range_km, spatial, delta_enabled,
-     compare_digests) = args
+    satellites, epochs, max_range_km, spatial = args
     planes = plane_count_for(satellites)
     constellation = walker_delta(satellites, planes)
     period_s = next(iter(constellation)).period_s
@@ -92,25 +87,13 @@ def _scale_point(args: tuple) -> Dict:
     stations = default_station_network()
     network = OpenSpaceNetwork(
         fleet, stations, max_isl_range_km=max_range_km,
-        snapshot_delta=delta_enabled, spatial_index=spatial,
+        spatial_index=spatial,
     )
-    reference: Optional[OpenSpaceNetwork] = None
-    if compare_digests:
-        reference = OpenSpaceNetwork(
-            fleet, stations, max_isl_range_km=max_range_km,
-            snapshot_delta=False, spatial_index=spatial,
-        )
-        # Both networks must share one batched time grid: numpy's
-        # vectorized trig can round the final ulp differently for
-        # different array shapes, so digests only compare like-for-like
-        # when both sides prime (or neither does).
-        network.prime_positions(times)
-        reference.prime_positions(times)
+    network.prime_positions(times)
 
     edge_counts: List[int] = []
     churn: List[float] = []
     latencies: List[float] = []
-    digests_match = True
     for t in times:
         snap = network.snapshot(t)
         edge_counts.append(snap.isl_snapshot.link_count)
@@ -118,9 +101,6 @@ def _scale_point(args: tuple) -> Dict:
         last = network.last_snapshot_delta
         if last is not None and last.isl is not None:
             churn.append(last.isl.churn_fraction)
-        if reference is not None:
-            if snap.digest() != reference.snapshot(t).digest():
-                digests_match = False
 
     stats = network.delta_stats
     reachable = [ms for ms in latencies if ms == ms]
@@ -136,17 +116,13 @@ def _scale_point(args: tuple) -> Dict:
         ),
         "churn_mean": float(sum(churn) / len(churn)) if churn else 0.0,
         "churn_max": float(max(churn)) if churn else 0.0,
-        "full_builds": int(stats["full_builds"]),
-        "delta_builds": int(stats["delta_builds"]),
         "edges_appeared": int(stats["edges_appeared"]),
         "edges_disappeared": int(stats["edges_disappeared"]),
-        "structure_reuses": int(stats["structure_reuses"]),
         "probe_latency_ms": (
             float(sum(reachable) / len(reachable)) if reachable
             else math.nan
         ),
         "probe_reachable_epochs": len(reachable),
-        "digests_match": bool(digests_match) if compare_digests else None,
     }
 
 
@@ -154,10 +130,8 @@ def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
                 epochs: int = 6,
                 max_range_km: float = 3000.0,
                 spatial: Optional[bool] = None,
-                delta: bool = True,
-                compare_digests: bool = True,
                 jobs: int = 1) -> List[Dict]:
-    """Topology churn and delta-vs-full digests vs constellation size.
+    """Topology churn and probe latency vs constellation size.
 
     Args:
         satellite_counts: Walker-Delta fleet sizes to sweep.
@@ -166,11 +140,6 @@ def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
         spatial: ``True`` forces grid-pruned candidate discovery,
             ``False`` forces all-pairs, ``None`` auto-switches on fleet
             size.  Results are identical either way.
-        delta: Build snapshots through the incremental delta path
-            (``False`` measures the full-rebuild-every-epoch baseline).
-        compare_digests: Also build every epoch through an independent
-            full-rebuild network and assert byte-identical digests
-            (doubles the work; the point of the exercise).
         jobs: Worker processes; every job count yields identical rows.
 
     Returns:
@@ -187,8 +156,7 @@ def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
         raise ValueError(f"range must be positive, got {max_range_km}")
 
     points = [
-        (int(count), int(epochs), float(max_range_km), spatial,
-         bool(delta), bool(compare_digests))
+        (int(count), int(epochs), float(max_range_km), spatial)
         for count in satellite_counts
     ]
     with _obs.active().span("experiment.scale.sweep", points=len(points)):

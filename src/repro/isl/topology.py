@@ -131,8 +131,10 @@ class TopologySnapshot:
 class TopologyDelta:
     """Edge-set difference between two consecutive topology snapshots.
 
-    Pairs are canonical ``(min_id, max_id)`` tuples, each list sorted, so
-    deltas are deterministic regardless of graph iteration order.
+    Pairs keep one fixed orientation (canonical ``(min_id, max_id)`` for
+    ISLs; the network diffs station links as ``(satellite, station)``),
+    each list sorted, so deltas are deterministic regardless of graph
+    iteration order.
 
     Attributes:
         appeared: Edges present now but not previously.
@@ -148,6 +150,16 @@ class TopologyDelta:
     disappeared: Tuple[Tuple[str, str], ...]
     persisted: Tuple[Tuple[str, str], ...]
     full_rebuild: bool = False
+
+    @classmethod
+    def between(cls, previous: frozenset, current: frozenset,
+                ) -> "TopologyDelta":
+        """The sorted diff from one edge set to the next."""
+        return cls(
+            appeared=tuple(sorted(current - previous)),
+            disappeared=tuple(sorted(previous - current)),
+            persisted=tuple(sorted(current & previous)),
+        )
 
     @property
     def changed_count(self) -> int:
@@ -384,8 +396,8 @@ class IslTopologyBuilder:
         over freshly evaluated geometry — persisting a link requires
         re-evaluating its budget at the new distance anyway), so the
         result is byte-identical to :meth:`snapshot`.  The delta tells
-        incremental consumers (graph overlays, CSR structure reuse,
-        route invalidation) exactly which edges changed.
+        consumers (churn metrics, route invalidation) exactly which
+        edges changed.
 
         Args:
             time_s: Snapshot timestamp.
@@ -404,13 +416,7 @@ class IslTopologyBuilder:
                 full_rebuild=True,
             )
             return snap, delta
-        prev_edges = previous.edge_set()
-        delta = TopologyDelta(
-            appeared=tuple(sorted(new_edges - prev_edges)),
-            disappeared=tuple(sorted(prev_edges - new_edges)),
-            persisted=tuple(sorted(new_edges & prev_edges)),
-        )
-        return snap, delta
+        return snap, TopologyDelta.between(previous.edge_set(), new_edges)
 
     def snapshots(self, times_s: Sequence[float],
                   positions_at) -> List[TopologySnapshot]:

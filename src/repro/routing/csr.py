@@ -17,10 +17,8 @@ epoch is two dense arrays, not a dict of path objects.
 Backend selection
 -----------------
 
-``"csr"`` (the default whenever scipy is importable) and ``"networkx"``
-(the pure-Python reference, kept both as a fallback for scipy-less
-environments and as the digest-equality oracle the test suite compares
-against).  Consumers accept a ``backend=`` argument and resolve ``None``
+``"csr"`` (the default) and ``"networkx"`` (the pure-Python reference,
+kept as the digest-equality oracle the test suite compares against).  Consumers accept a ``backend=`` argument and resolve ``None``
 through :func:`resolve_backend`, so one :func:`set_default_backend` call
 (or the ``--routing-backend`` CLI flag) switches the whole stack.
 
@@ -45,16 +43,8 @@ import numpy as np
 
 from repro.routing.metrics import EdgeCostModel, PROPAGATION_ONLY
 
-try:  # scipy is a core dependency, but the networkx backend keeps the
-    # stack alive (and the digest oracle honest) when it is absent.
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_csr_matrix = None
-    _scipy_dijkstra = None
-    HAVE_SCIPY = False
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 #: scipy.sparse.csgraph's "no predecessor" sentinel.
 NO_PREDECESSOR = -9999
@@ -63,7 +53,7 @@ BACKEND_CSR = "csr"
 BACKEND_NETWORKX = "networkx"
 _BACKENDS = (BACKEND_CSR, BACKEND_NETWORKX)
 
-_default_backend = BACKEND_CSR if HAVE_SCIPY else BACKEND_NETWORKX
+_default_backend = BACKEND_CSR
 
 #: An edge weight: a cost model, or ``(u, v, data) -> float | None``
 #: where ``None`` (or a non-finite value) drops the edge entirely.
@@ -85,7 +75,6 @@ def set_default_backend(name: str) -> None:
 
     Raises:
         ValueError: For unknown backend names.
-        RuntimeError: When asking for ``"csr"`` without scipy installed.
     """
     global _default_backend
     _default_backend = resolve_backend(name)
@@ -94,20 +83,13 @@ def set_default_backend(name: str) -> None:
 def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a ``backend=`` argument to a concrete backend name.
 
-    ``None`` means the process default (CSR when scipy is available).
-    Explicitly requesting ``"csr"`` without scipy raises instead of
-    silently degrading, so a mis-provisioned environment fails loudly.
+    ``None`` means the process default (CSR unless switched).
     """
     if name is None:
         return _default_backend
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown routing backend {name!r}; expected one of {_BACKENDS}"
-        )
-    if name == BACKEND_CSR and not HAVE_SCIPY:
-        raise RuntimeError(
-            "routing backend 'csr' requires scipy; install scipy or use "
-            "backend='networkx'"
         )
     return name
 
@@ -246,8 +228,6 @@ class CsrAdjacency:
 
     def matrix(self):
         """The scipy ``csr_matrix`` view over the weight arrays."""
-        if not HAVE_SCIPY:
-            raise RuntimeError("scipy unavailable; CSR backend disabled")
         if self._matrix is None:
             self._matrix = _scipy_csr_matrix(
                 (self.data, self.indices, self.indptr),
@@ -281,32 +261,6 @@ class CsrAdjacency:
             self._matrix = None
             self._sp_cache.clear()
         return changed
-
-    def structure_clone(self, graph) -> "CsrAdjacency":
-        """A new adjacency sharing this one's structure arrays.
-
-        The incremental path for consecutive snapshots whose edge *set*
-        did not change (the common mega-constellation epoch): the
-        ``indptr``/``indices`` arrays and node table are reused by
-        reference and only the weight array is recomputed, from
-        ``graph``'s live edge-attribute dicts — no edge iteration, no
-        lexsort.  ``graph`` must contain exactly the same nodes and
-        edges as the graph this adjacency was built from (callers assert
-        that via their snapshot delta); a missing edge raises
-        ``KeyError``.  Weight callables are invoked with the orientation
-        recorded at the original build, which is indistinguishable for
-        the undirected snapshot graphs this is used on.
-        """
-        edges = graph.edges
-        edge_dicts = [(u, v, edges[u, v]) for u, v, _old in self._edge_dicts]
-        weight_fn = _weight_callable(self._weight)
-        data = np.empty(len(edge_dicts), dtype=np.float64)
-        for k, (u, v, entry) in enumerate(edge_dicts):
-            cost = weight_fn(u, v, entry)
-            data[k] = float(cost) if cost is not None and np.isfinite(cost) \
-                else np.inf
-        return CsrAdjacency(self.nodes, self.indptr, self.indices, data,
-                            edge_dicts, self._weight)
 
     # -- shortest paths ------------------------------------------------
 
@@ -504,8 +458,6 @@ def block_diagonal_dijkstra(
         column ``offsets[k] + j``; predecessors are global indices with
         :data:`NO_PREDECESSOR` outside the tree.
     """
-    if not HAVE_SCIPY:
-        raise RuntimeError("scipy unavailable; CSR backend disabled")
     if len(blocks) != len(sources):
         raise ValueError(
             f"need one source per block, got {len(sources)} sources "

@@ -132,8 +132,7 @@ def shortest_path(graph: nx.Graph, source: str, target: str,
 
     Args:
         backend: Routing backend name (``"csr"`` or ``"networkx"``);
-            ``None`` uses the process default (CSR when scipy is
-            available).
+            ``None`` uses the process default (CSR unless switched).
     """
     from repro.routing import csr as _csr
 

@@ -4,7 +4,7 @@
 with one block-diagonal Dijkstra; the faults sweep's ``--engine
 batched`` mode stands on it.  The contract is bitwise: the same path,
 node for node, as the per-user snapshot probe — through fault state,
-primed position grids, and the no-scipy fallback.
+primed position grids, and a probe that builds its own base snapshot.
 """
 
 from typing import List, Optional
@@ -18,8 +18,6 @@ from repro.experiments.availability import SAMPLE_SITES
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.walker import iridium_like
-
-pytest.importorskip("scipy")
 
 
 def _make_network(**kwargs):
@@ -104,10 +102,13 @@ class TestGatewayProbePaths:
             assert (primed.gateway_probe_paths(float(time_s), users)
                     == cold.gateway_probe_paths(float(time_s), users))
 
-    def test_scalar_fallback_without_scipy(self, users, monkeypatch):
-        # The fallback loop must produce the same dict the array path
-        # does (it *is* the oracle, reached when scipy is absent).
-        net = _make_network()
-        fast = net.gateway_probe_paths(300.0, users)
-        monkeypatch.setattr("repro.core.network.HAVE_SCIPY", False)
-        assert net.gateway_probe_paths(300.0, users) == fast
+    def test_fresh_network_matches_per_user_oracle(self, users):
+        # The probe builds the base snapshot itself here; the oracle
+        # answers each user from its own snapshot on another network.
+        fast = _make_network().gateway_probe_paths(300.0, users)
+        oracle = _make_network()
+        for user in users:
+            metrics = oracle.snapshot(300.0, users=[user]) \
+                .nearest_ground_station_route(user.user_id)
+            expected = None if metrics is None else list(metrics.path)
+            assert fast[user.user_id] == expected

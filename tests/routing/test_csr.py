@@ -22,9 +22,6 @@ from repro.routing.csr import (
 )
 from repro.routing.metrics import EdgeCostModel, shortest_path
 
-pytestmark = pytest.mark.skipif(not csr.HAVE_SCIPY,
-                                reason="scipy unavailable")
-
 
 def line_graph():
     graph = nx.Graph()
@@ -54,11 +51,6 @@ class TestBackendRegistry:
             assert csr.resolve_backend(None) == BACKEND_NETWORKX
         finally:
             csr.set_default_backend(original)
-
-    def test_explicit_csr_without_scipy_raises(self, monkeypatch):
-        monkeypatch.setattr(csr, "HAVE_SCIPY", False)
-        with pytest.raises(RuntimeError, match="requires scipy"):
-            csr.resolve_backend(BACKEND_CSR)
 
 
 class TestCsrAdjacencyBuild:

@@ -3,10 +3,9 @@
 import networkx as nx
 import pytest
 
-from repro.routing.csr import HAVE_SCIPY
 from repro.routing.timeexpanded import TimeExpandedRouter
 
-BACKENDS = ["networkx"] + (["csr"] if HAVE_SCIPY else [])
+BACKENDS = ["networkx", "csr"]
 
 
 class FakeSnapshot:
